@@ -43,7 +43,7 @@ from repro.algorithms.registry import get_algorithm  # noqa: E402
 from repro.bench.replay import RecordedRun, record_run, replay_engine  # noqa: E402
 from repro.bench.steady import SteadySpec, build_steady_engine  # noqa: E402
 from repro.graphs import make_topology  # noqa: E402
-from repro.sim import SynchronousEngine, vector_available  # noqa: E402
+from repro.sim import BACKENDS, SynchronousEngine  # noqa: E402
 
 SEED = 11
 STEADY_WINDOW = 5
@@ -97,13 +97,6 @@ def best_of(make_engine: Callable[[], SynchronousEngine],
     return best
 
 
-def replay_backends() -> List[str]:
-    backends = ["legacy", "fast"]
-    if vector_available():
-        backends.append("vector")
-    return backends
-
-
 def steady_case(recorded: RecordedRun, n: int, enforce: bool,
                 repeats: int) -> Dict[str, object]:
     start = recorded.rounds - STEADY_WINDOW + 1
@@ -111,7 +104,7 @@ def steady_case(recorded: RecordedRun, n: int, enforce: bool,
         stats.pointers for stats in recorded.result.round_stats[start - 1:]
     )
     timings = {}
-    for backend in replay_backends():
+    for backend in BACKENDS:
         timings[backend] = best_of(
             lambda: replay_engine(
                 recorded, start_round=start, backend=backend, force=True,
@@ -157,7 +150,7 @@ def cold_start_case(graph, n: int, repeats: int) -> Dict[str, object]:
     the backends are expected to be close here."""
     spec = get_algorithm("namedropper")
     timings = {}
-    for backend in replay_backends():
+    for backend in BACKENDS:
         timings[backend] = best_of(
             lambda: SynchronousEngine(
                 graph, spec.node_factory(), seed=SEED,
@@ -289,7 +282,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  cold-start: legacy {case['legacy_ms']}ms "
               f"fast {case['fast_ms']}ms -> {case['speedup']}x", flush=True)
 
-    if not args.skip_large and vector_available():
+    if not args.skip_large:
         for n in args.large_n:
             for name in ("catchup", "broadcast"):
                 print(f"n={n}: synthetic {name} kernel...", flush=True)
@@ -326,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "git_rev": git_rev(),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "backends": replay_backends(),
+        "backends": BACKENDS,
         "acceptance": {
             "kernel": "steady_replay n=256 enforce_legality=false",
             "backend": "fast",
@@ -356,7 +349,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
     ok = payload["acceptance"]["pass"] and (
-        args.skip_large or not vector_available() or vector_pass
+        args.skip_large or vector_pass
     )
     return 0 if ok else 1
 

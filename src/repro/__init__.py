@@ -128,12 +128,10 @@ def discover(
     goal: str = "strong",
     fault_plan: Optional[FaultPlan] = None,
     join_plan: Optional[JoinPlan] = None,
-    jitter: int = 0,
     delivery: Optional[Union[str, DeliveryModel]] = None,
     observers: Iterable[Observer] = (),
     max_rounds: Optional[int] = None,
     enforce_legality: bool = True,
-    fast_path: bool = True,
     backend: Optional[str] = None,
     profile: bool = False,
     **params: Any,
@@ -149,25 +147,20 @@ def discover(
         fault_plan: Optional fault injection plan.
         join_plan: Optional dynamic-join plan (machines dormant until
             their join round — see :mod:`repro.sim.churn`).
-        jitter: Bounded-asynchrony knob: messages take 1 .. 1 + jitter
-            rounds to arrive (0 = classic synchronous delivery).  Alias
-            for ``delivery=BoundedJitter(jitter)``.
         delivery: Delivery model — a
             :class:`repro.sim.transport.DeliveryModel` or a spec string
             such as ``"jitter:2"``, ``"adversarial:3"``, ``"perlink:2"``,
             or ``"partition:4-8"`` (see
-            :func:`repro.sim.transport.parse_delivery`).  Mutually
-            exclusive with ``jitter``.
+            :func:`repro.sim.transport.parse_delivery`).  ``None`` means
+            lockstep.
         observers: Read-only run observers.
         max_rounds: Round cap; defaults to the algorithm's registered cap.
         enforce_legality: Verify every message against the communication
             model (default on; benchmarks may disable for speed).
-        fast_path: Run on the engine's dense bitmask path (default on —
-            it is differential-tested bit-identical to the legacy path;
-            pass ``False`` to use the reference implementation).
-        backend: Explicit engine backend (``"legacy"``, ``"fast"``, or
-            ``"vector"`` — the bit-packed numpy kernel for large n).
-            ``None`` defers to ``fast_path``; an explicit value wins.
+        backend: Engine backend (``"legacy"``, ``"fast"``, or
+            ``"vector"``; all three are differential-tested bit-identical).
+            ``None`` means :func:`repro.sim.resolve_backend` of the graph
+            size; pass ``"legacy"`` for the reference implementation.
         profile: Record per-phase engine timings into
             ``result.extra["phase_timings"]``.
         **params: Algorithm parameters (for ``sublog``/``detmerge`` these
@@ -185,11 +178,9 @@ def discover(
         goal=goal,
         fault_plan=fault_plan,
         join_plan=join_plan,
-        jitter=jitter,
         delivery=delivery,
         observers=observers,
         enforce_legality=enforce_legality,
-        fast_path=fast_path,
         backend=backend,
         profile=profile,
         algorithm_name=algorithm,

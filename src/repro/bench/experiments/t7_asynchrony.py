@@ -76,7 +76,9 @@ def run(scale: Scale) -> ExperimentReport:
                     params=params,
                     topology_params={"k": 3},
                 )
-                result = run_case(case, jitter=jitter, max_rounds=4000)
+                result = run_case(
+                    case, delivery=f"jitter:{jitter}", max_rounds=4000
+                )
                 assert result.completed, (algorithm, jitter, seed)
                 rounds.append(result.rounds)
             median = statistics.median(rounds)

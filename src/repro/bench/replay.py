@@ -116,7 +116,7 @@ def record_run(
 ) -> RecordedRun:
     """Run a protocol once, capturing every outbox it drains.
 
-    The recording run itself uses the legacy engine path so the schedule's
+    The recording run itself uses the legacy backend so the schedule's
     provenance never depends on the code being benchmarked against it.
     """
     observer = _SnapshotObserver(snapshot_rounds)
@@ -126,6 +126,7 @@ def record_run(
         seed=seed,
         goal=goal,
         enforce_legality=enforce_legality,
+        backend="legacy",
         observers=(observer,) if snapshot_rounds else (),
     )
     schedule: Schedule = {}
@@ -182,7 +183,6 @@ def replay_engine(
     recorded: RecordedRun,
     *,
     start_round: int = 1,
-    fast_path: bool = False,
     backend: Optional[str] = None,
     force: bool = False,
     enforce_legality: bool = False,
@@ -194,8 +194,8 @@ def replay_engine(
     remainder of the run; metrics and final ground truth then match the
     recorded tail exactly on any backend.
 
-    ``backend`` selects the replay backend explicitly (``fast_path``
-    remains the boolean alias).  Replaying against a backend other than
+    ``backend`` selects the replay backend; ``None`` replays on
+    ``recorded.backend``.  Replaying against a backend other than
     ``recorded.backend`` raises unless ``force=True``: the B1 kernels do
     this on purpose (the whole point is timing fast/vector engines on a
     legacy-recorded schedule) and say so with ``force``; anything else is
@@ -204,7 +204,7 @@ def replay_engine(
     window = recorded.window(start_round)  # validates start_round
     del window
     if backend is None:
-        backend = "fast" if fast_path else "legacy"
+        backend = recorded.backend
     if backend != recorded.backend and not force:
         raise ValueError(
             f"recording was made on the {recorded.backend!r} backend but the "

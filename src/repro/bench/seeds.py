@@ -7,8 +7,8 @@ Experiments run at three scales:
 * ``full`` — the sizes reported in EXPERIMENTS.md (minutes).
 * ``large`` — extends the sweep 8× past ``full``'s ceiling (n up to
   16 384, single seed; tens of minutes).  The engine side is feasible
-  because the bench runner upgrades cells to the bit-packed vector
-  backend at n ≥ 8192 (``runner.resolve_backend``); wall clock is
+  because the engine's default backend is the bit-packed vector
+  backend at n ≥ 8192 (``sim.engine.resolve_backend``); wall clock is
   dominated by the *protocol* side (per-node Python set bookkeeping is
   O(total learning) on any backend), which is what the per-algorithm
   size caps in T1/F1 bound.  n = 32 768 honest runs were measured to

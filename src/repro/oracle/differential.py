@@ -169,8 +169,8 @@ def diff_fast_vs_legacy(
 ) -> DiffReport:
     """The dense fast path against the reference path on one script."""
     return diff_engines(
-        script.build_engine(fast_path=True, enforce_legality=enforce_legality),
-        script.build_engine(fast_path=False, enforce_legality=enforce_legality),
+        script.build_engine(backend="fast", enforce_legality=enforce_legality),
+        script.build_engine(backend="legacy", enforce_legality=enforce_legality),
         max_rounds=script.resolved_max_rounds(),
         label_a="fast-path",
         label_b="legacy",
@@ -180,12 +180,7 @@ def diff_fast_vs_legacy(
 def diff_vector_vs_fast(
     script: ScheduleScript, *, enforce_legality: bool = True
 ) -> DiffReport:
-    """The bit-packed vector backend against the fast path on one script.
-
-    Raises :class:`ImportError` when numpy is unavailable; callers that
-    must degrade gracefully should guard on
-    :func:`repro.sim.vector_kernel.vector_available` first.
-    """
+    """The bit-packed vector backend against the fast path on one script."""
     return diff_engines(
         script.build_engine(backend="vector", enforce_legality=enforce_legality),
         script.build_engine(backend="fast", enforce_legality=enforce_legality),

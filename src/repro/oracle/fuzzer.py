@@ -44,7 +44,6 @@ from ..sim.engine import SynchronousEngine
 from ..sim.metrics import RunResult
 from ..sim.observers import Observer
 from ..sim.rng import derive_rng
-from ..sim.vector_kernel import vector_available
 from .differential import diff_fast_vs_legacy, diff_reduction, diff_vector_vs_fast
 from .invariants import InvariantOracle, OracleViolation
 from .script import ScheduleScript
@@ -167,7 +166,7 @@ def generate_script(
 def run_script(
     script: ScheduleScript,
     *,
-    fast_path: bool = True,
+    backend: Optional[str] = None,
     enforce_legality: bool = True,
     strict: bool = True,
     observers: Sequence[Observer] = (),
@@ -175,6 +174,8 @@ def run_script(
 ) -> Tuple[RunResult, InvariantOracle]:
     """Run one script under the invariant oracle.
 
+    ``backend`` selects the engine backend; ``None`` means the engine's
+    default for the script's size.
     ``engine_hook`` receives the constructed engine before the run starts
     — the fuzzer self-tests use it to inject deliberate transport bugs
     and prove the oracle catches them.  With ``strict=True`` the first
@@ -182,7 +183,7 @@ def run_script(
     """
     oracle = InvariantOracle(script=script, strict=strict)
     engine = script.build_engine(
-        fast_path=fast_path,
+        backend=backend,
         enforce_legality=enforce_legality,
         observers=(oracle, *observers),
     )
@@ -222,9 +223,8 @@ def check_script(
 
     On failure returns ``(kind, detail)`` where *kind* is ``invariant``
     (the oracle raised), ``divergence`` (fast path != legacy path),
-    ``vector-divergence`` (vector backend != fast path; skipped when
-    numpy is unavailable), or ``reduction-divergence`` (degenerate model
-    != lockstep).
+    ``vector-divergence`` (vector backend != fast path), or
+    ``reduction-divergence`` (degenerate model != lockstep).
     """
     try:
         run_script(script, strict=True, engine_hook=engine_hook)
@@ -234,10 +234,9 @@ def check_script(
         report = diff_fast_vs_legacy(script)
         if not report.equal:
             return ("divergence", report.describe())
-        if vector_available():
-            report = diff_vector_vs_fast(script)
-            if not report.equal:
-                return ("vector-divergence", report.describe())
+        report = diff_vector_vs_fast(script)
+        if not report.equal:
+            return ("vector-divergence", report.describe())
     if reduction:
         report = diff_reduction(script)
         if report is not None and not report.equal:

@@ -109,7 +109,6 @@ class ScheduleScript:
     def build_engine(
         self,
         *,
-        fast_path: bool = True,
         backend: Optional[str] = None,
         enforce_legality: bool = True,
         observers: Iterable[Observer] = (),
@@ -120,9 +119,8 @@ class ScheduleScript:
         ``delivery`` overrides the script's own spec when given (the
         differential runner uses this to pit a model against its lockstep
         reduction on an otherwise identical run).  ``backend`` selects
-        the engine backend explicitly (``"legacy"``/``"fast"``/
-        ``"vector"``); when ``None`` the ``fast_path`` flag decides, as
-        in the engine constructor.
+        the engine backend (``"legacy"``/``"fast"``/``"vector"``); when
+        ``None`` the engine picks its default for the script's size.
         """
         spec = get_algorithm(self.algorithm)
         return SynchronousEngine(
@@ -135,7 +133,6 @@ class ScheduleScript:
             delivery=delivery if delivery is not None else self.delivery,
             observers=observers,
             enforce_legality=enforce_legality,
-            fast_path=fast_path,
             backend=backend,
             algorithm_name=self.algorithm,
             params=self.params,

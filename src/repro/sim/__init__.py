@@ -16,7 +16,14 @@ The public surface of the simulator:
 """
 
 from .churn import JoinPlan, late_join_workload
-from .engine import BACKENDS, GOALS, SynchronousEngine, default_max_rounds
+from .engine import (
+    BACKENDS,
+    GOALS,
+    VECTOR_DEFAULT_MIN_N,
+    SynchronousEngine,
+    default_max_rounds,
+    resolve_backend,
+)
 from .errors import (
     EngineStateError,
     ProtocolViolation,
@@ -45,7 +52,6 @@ from .transport import (
     PerLinkLatency,
     parse_delivery,
 )
-from .vector_kernel import vector_available
 
 __all__ = [
     "BACKENDS",
@@ -77,6 +83,7 @@ __all__ = [
     "TraceEvent",
     "TraceObserver",
     "UnknownNodeError",
+    "VECTOR_DEFAULT_MIN_N",
     "crash_fraction_plan",
     "default_max_rounds",
     "derive_rng",
@@ -85,5 +92,5 @@ __all__ = [
     "message_bits",
     "parse_delivery",
     "read_jsonl",
-    "vector_available",
+    "resolve_backend",
 ]

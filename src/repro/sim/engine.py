@@ -20,26 +20,23 @@ transport submit → transport deliver → absorb*; it owns the knowledge
 ground truth and the legality guard, while the bound
 :class:`~repro.sim.transport.DeliveryModel` owns scheduling (lockstep,
 bounded jitter, per-link latency, adversarial delay) and delivery-time
-vetoes (partition windows).  The historical ``jitter=`` knob survives as
-an alias for ``delivery=BoundedJitter(jitter)``.
+vetoes (partition windows).  Bounded jitter is ``delivery="jitter:J"``;
+``"jitter:0"`` delivers every message after exactly one round, as
+lockstep does.
 
 Three interchangeable execution backends are provided (selected by the
 ``backend`` constructor parameter — ``"legacy"``, ``"fast"``, or
-``"vector"`` — with the historical ``fast_path`` flag surviving as an
-alias for the first two) and proven equivalent by the differential tests
-in ``tests/sim/test_fast_path_equivalence.py`` and
-``tests/sim/test_vector_backend.py``.  Note the default split: the
-engine constructor itself defaults to the legacy reference path, while
-the bench harness (`repro.bench.runner`), the CLI, and
-:func:`repro.discover` default to the fast path (auto-upgraded to
-``vector`` at large n where the bench layer decides to) — so casual
-engine construction gets the obviously-correct path and every shipped
-entry point gets a fast one.
+``"vector"``) and proven equivalent by the differential suite under
+``tests/sim/`` and the oracle's differential runner.  ``backend=None`` means
+:func:`resolve_backend`, the one default rule for every entry point (the
+engine, :func:`repro.discover`, the bench harness and the CLI): ``fast``
+below :data:`VECTOR_DEFAULT_MIN_N` machines, ``vector`` from there up.
+Callers that want the reference path pass ``backend="legacy"``.
 
-* the **legacy path** (``fast_path=False``) walks every
+* the **legacy path** (``backend="legacy"``) walks every
   carried pointer in interpreted per-id loops — simple, obviously
   correct, and the reference implementation;
-* the **dense fast path** (``fast_path=True``) remaps the opaque machine
+* the **dense fast path** (``backend="fast"``) remaps the opaque machine
   ids onto ``[0, n)`` (:func:`repro.graphs.idspace.dense_index`) and
   represents each machine's ground-truth knowledge as an
   arbitrary-precision integer bitmask.  The bitmasks carry all the
@@ -70,8 +67,7 @@ entry point gets a fast one.
   :class:`~repro.sim.transport.AdversarialScheduler` — its non-uniform
   delays simply use the per-message dispatch loop), and the oracle's
   differential runner holds it per-round digest-identical to the fast
-  path.  Requires numpy; constructing a vector engine without it raises
-  an :class:`ImportError` naming the fix.
+  path.
 
 The fast path keeps the ground-truth *sets* behind :attr:`knowledge` in
 one of two regimes.  With ``enforce_legality=True`` they are maintained
@@ -127,7 +123,7 @@ from .metrics import DROP_CRASH, DROP_DORMANT, MetricsCollector, RunResult
 from .node import ProtocolNode
 from .observers import Observer
 from .rng import derive_rng
-from .transport import BoundedJitter, DeliveryModel, Lockstep, parse_delivery
+from .transport import DeliveryModel, Lockstep, parse_delivery
 from .vector_kernel import VectorState, np, pack_message_ids
 
 NodeFactory = Callable[[int], ProtocolNode]
@@ -138,6 +134,14 @@ GOALS = ("strong", "weak", "strong_alive")
 
 #: Engine execution backends selectable by string.
 BACKENDS = ("legacy", "fast", "vector")
+
+#: Size at which the default backend switches from ``fast`` to
+#: ``vector``.  The crossover point: below it the fast path's per-message
+#: Python-int ops win on constant factors; above it the vector backend's
+#: batched screens dominate (and the fast path's pow2 table ages out at
+#: n > 2**14 anyway).  Gated on the oracle's vector-vs-fast differential
+#: coverage — see :func:`repro.oracle.differential.diff_vector_vs_fast`.
+VECTOR_DEFAULT_MIN_N = 8192
 
 #: Phase keys reported by the ``profile=True`` timing hooks.
 PROFILE_PHASES = ("protocol", "dispatch", "deliver", "observers")
@@ -151,6 +155,17 @@ _recipient_of = attrgetter("recipient")
 #: (``{id: 1 << bit}``).  The table costs Θ(n²/8) bytes (32 MiB at the
 #: cutoff); beyond it, masks are assembled through a byte buffer instead.
 _POW2_TABLE_MAX_N = 1 << 14
+
+
+def resolve_backend(n: int, backend: Optional[str] = None) -> str:
+    """The engine backend a run over *n* machines executes on.
+
+    An explicit *backend* wins; otherwise ``fast`` below
+    :data:`VECTOR_DEFAULT_MIN_N` machines and ``vector`` from there up.
+    """
+    if backend is not None:
+        return backend
+    return "vector" if n >= VECTOR_DEFAULT_MIN_N else "fast"
 
 
 def default_max_rounds(n: int) -> int:
@@ -187,32 +202,21 @@ class SynchronousEngine:
         join_plan: Optional :class:`repro.sim.churn.JoinPlan` — machines
             listed in it are dormant (not executing, unreachable) until
             their join round.
-        jitter: Bounded-asynchrony knob, kept as a convenience alias for
-            ``delivery=BoundedJitter(jitter)``: a message sent in round
-            ``r`` is delivered at the start of round ``r + d`` where
-            ``d`` is drawn uniformly from ``1 .. 1 + jitter``
-            (deterministically in the seed).  ``jitter=0`` is the classic
-            synchronous model.  Mutually exclusive with ``delivery=``.
         delivery: Delivery model — a
             :class:`repro.sim.transport.DeliveryModel` instance or a spec
             string (``"lockstep"``, ``"jitter:2"``, ``"adversarial:3"``,
             ``"perlink:2"``, ``"partition:4-8"``; see
             :func:`repro.sim.transport.parse_delivery`).  ``None`` (the
-            default) means lockstep, or bounded jitter when ``jitter`` is
-            given.
+            default) means lockstep.
         observers: Read-only observers notified per round.
         enforce_legality: Verify the ids of every message against the
             sender's ground-truth knowledge.  Costs O(total pointers) on
             both paths; benchmarks may disable it, tests keep it on.
-        fast_path: Use the dense bitmask execution path (see the module
-            docstring).  Defaults to ``False`` here (the reference path);
-            the bench harness, CLI, and :func:`repro.discover` pass
-            ``True``.  Produces bit-identical :class:`RunResult`\\ s;
-            the differential test suite holds the two paths equal.
         backend: Execution backend by name — ``"legacy"``, ``"fast"``,
-            or ``"vector"`` (the bit-packed numpy kernel; requires
-            numpy).  ``None`` (the default) defers to ``fast_path``.
-            An explicit backend always wins over ``fast_path``.
+            or ``"vector"`` (the bit-packed numpy kernel).  ``None`` (the
+            default) means :func:`resolve_backend` of the graph size.
+            Every backend produces bit-identical :class:`RunResult`\\ s;
+            the differential test suite holds them equal.
         profile: Accumulate per-phase wall-clock timings (exposed as
             :attr:`phase_timings` and ``RunResult.extra["phase_timings"]``).
         algorithm_name / params: Metadata copied into the result.
@@ -227,11 +231,9 @@ class SynchronousEngine:
         goal: Union[str, GoalPredicate] = "strong",
         fault_plan: Optional[FaultPlan] = None,
         join_plan: Optional[JoinPlan] = None,
-        jitter: int = 0,
         delivery: Optional[Union[str, DeliveryModel]] = None,
         observers: Iterable[Observer] = (),
         enforce_legality: bool = True,
-        fast_path: bool = False,
         backend: Optional[str] = None,
         profile: bool = False,
         algorithm_name: str = "custom",
@@ -254,14 +256,12 @@ class SynchronousEngine:
         self.goal = goal
         self._goal_fn = self._resolve_goal(goal)
         self.enforce_legality = enforce_legality
-        if backend is None:
-            backend = "fast" if fast_path else "legacy"
-        elif backend not in BACKENDS:
+        backend = resolve_backend(self.n, backend)
+        if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         self.backend = backend
-        self.fast_path = backend == "fast"
         self.profile = bool(profile)
         self._phase_timings: Dict[str, float] = dict.fromkeys(PROFILE_PHASES, 0.0)
         self.algorithm_name = algorithm_name
@@ -273,18 +273,8 @@ class SynchronousEngine:
         for node in self._joins.join_rounds:
             if node not in self._id_set:
                 raise UnknownNodeError(f"join plan lists unknown node {node}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
-        if delivery is not None and jitter:
-            raise ValueError(
-                "pass either delivery= or the jitter= alias, not both"
-            )
-        if delivery is None:
-            model = BoundedJitter(jitter) if jitter else Lockstep()
-        else:
-            model = parse_delivery(delivery)
+        model = Lockstep() if delivery is None else parse_delivery(delivery)
         self.delivery: DeliveryModel = model.bind(self)
-        self.jitter = getattr(model, "jitter", 0)
         self._wants_deliveries = any(
             getattr(observer, "wants_deliveries", False)
             for observer in self.observers
@@ -365,7 +355,7 @@ class SynchronousEngine:
             self._kcache_masks = list(self._kmasks)
 
     def _init_vector_state(self) -> None:
-        state = VectorState(self.n)  # raises a clear error without numpy
+        state = VectorState(self.n)
         index = self._index
         for node in self.node_ids:
             state.seed_row(
@@ -502,7 +492,7 @@ class SynchronousEngine:
             np.bitwise_and(common, state.complete_row, out=common)
             bit = state.first_set_bit(common)
             return None if bit is None else self.node_ids[bit]
-        if self.fast_path:
+        if self.backend == "fast":
             # Bit j survives the AND of all knowledge masks iff everyone
             # knows machine j; intersecting with the complete-node mask
             # and taking the lowest surviving bit yields the first
@@ -639,7 +629,7 @@ class SynchronousEngine:
                 1 for count in self._alive_known.values() if count == target
             )
             return
-        if self.fast_path:
+        if self.backend == "fast":
             alive_mask = self._mask_from_ids(alive)
             self._alive_mask = alive_mask
             kmasks = self._kmasks
@@ -695,7 +685,7 @@ class SynchronousEngine:
                     state.pack_indices([index[target] for target in new_ids]),
                 )
                 self._apply_vector_deltas({row_index: old_row})
-            elif self.fast_path:
+            elif self.backend == "fast":
                 idx = self._index[node]
                 add = self._mask_from_ids(new_ids) & ~self._kmasks[idx]
                 if add:
@@ -742,7 +732,7 @@ class SynchronousEngine:
 
         if self.backend == "vector":
             self._step_vector()
-        elif self.fast_path:
+        elif self.backend == "fast":
             self._step_fast()
         else:
             self._step_legacy()
@@ -906,6 +896,49 @@ class SynchronousEngine:
                 ),
             )
 
+    def _screen_pending(
+        self,
+        pending: Sequence[Message],
+        delays: Optional[Sequence[int]],
+        next_round: int,
+        crashed: Optional[Mapping[int, int]],
+        joins: Optional[JoinPlan],
+    ) -> List[Message]:
+        """Delivery pre-pass shared by the fast and vector backends.
+
+        Drops messages to crashed or dormant recipients and those the
+        delivery model vetoes, counting each as an in-flight loss, logs
+        every due message with its delay when an observer asked for
+        deliveries, and returns the messages that will land."""
+        metrics = self.metrics
+        delivery = self.delivery
+        log = self._delivery_log
+        track = log is not None
+        filters = delivery.filters_delivery
+        delay = delivery.uniform_delay or 1
+        delay_iter = iter(delays) if delays is not None else None
+        kept: List[Message] = []
+        keep = kept.append
+        for message in pending:
+            if delay_iter is not None:
+                delay = next(delay_iter)
+            recipient = message.recipient
+            if crashed and recipient in crashed:
+                reason = DROP_CRASH
+            elif joins is not None and joins.is_dormant(recipient, next_round):
+                reason = DROP_DORMANT
+            elif filters:
+                reason = delivery.drop_reason(message.sender, recipient, next_round)
+            else:
+                reason = None
+            if reason is not None:
+                metrics.record_in_flight_loss(reason)
+            else:
+                keep(message)
+            if track:
+                log.append((message, delay, reason))
+        return kept
+
     def _step_fast(self) -> None:
         """Dense round body: bulk set operations, mask-mirrored counters,
         completion short-circuits, and batched accounting."""
@@ -926,7 +959,6 @@ class SynchronousEngine:
 
         next_round = round_no + 1
         delivery = self.delivery
-        log = self._delivery_log
         self._dispatch_sends_dense(sends)
 
         if profile:
@@ -945,45 +977,13 @@ class SynchronousEngine:
             ksets = self._ksets if enforce else None
             metrics = self.metrics
             learned = False
-            track = log is not None
-            if track or delivery.filters_delivery:
+            if self._delivery_log is not None or delivery.filters_delivery:
                 # Rare regime (tracing observer or filtering model):
                 # resolve drops, delays, and logging in a pre-pass so the
                 # learning loop below stays as lean as the plain case.
-                filters = delivery.filters_delivery
-                delay = delivery.uniform_delay or 1
-                delay_iter = iter(delays) if delays is not None else None
-                kept: List[Message] = []
-                keep = kept.append
-                for message in pending:
-                    if delay_iter is not None:
-                        delay = next(delay_iter)
-                    recipient = message.recipient
-                    if crashed and recipient in crashed:
-                        metrics.record_in_flight_loss(DROP_CRASH)
-                        if track:
-                            log.append((message, delay, DROP_CRASH))
-                        continue
-                    if joins is not None and joins.is_dormant(
-                        recipient, next_round
-                    ):
-                        metrics.record_in_flight_loss(DROP_DORMANT)
-                        if track:
-                            log.append((message, delay, DROP_DORMANT))
-                        continue
-                    if filters:
-                        reason = delivery.drop_reason(
-                            message.sender, recipient, next_round
-                        )
-                        if reason is not None:
-                            metrics.record_in_flight_loss(reason)
-                            if track:
-                                log.append((message, delay, reason))
-                            continue
-                    if track:
-                        log.append((message, delay, None))
-                    keep(message)
-                pending = kept
+                pending = self._screen_pending(
+                    pending, delays, next_round, crashed, joins
+                )
                 crashed = None
                 joins = None
             for message in pending:
@@ -1111,7 +1111,6 @@ class SynchronousEngine:
 
         next_round = round_no + 1
         delivery = self.delivery
-        log = self._delivery_log
         self._dispatch_sends_dense(sends)
 
         if profile:
@@ -1124,47 +1123,19 @@ class SynchronousEngine:
         if pending:
             state = self._vstate
             index = self._index
-            metrics = self.metrics
-            track = log is not None
-            if track or delivery.filters_delivery or crashed or joins is not None:
+            if (
+                self._delivery_log is not None
+                or delivery.filters_delivery
+                or crashed
+                or joins is not None
+            ):
                 # Screening pre-pass: resolve crash/dormancy losses,
                 # delivery-time filtering, and observer logging up front
                 # so the batched phase below sees only messages that
                 # will actually land.
-                filters = delivery.filters_delivery
-                delay = delivery.uniform_delay or 1
-                delay_iter = iter(delays) if delays is not None else None
-                kept: List[Message] = []
-                keep = kept.append
-                for message in pending:
-                    if delay_iter is not None:
-                        delay = next(delay_iter)
-                    recipient = message.recipient
-                    if crashed and recipient in crashed:
-                        metrics.record_in_flight_loss(DROP_CRASH)
-                        if track:
-                            log.append((message, delay, DROP_CRASH))
-                        continue
-                    if joins is not None and joins.is_dormant(
-                        recipient, next_round
-                    ):
-                        metrics.record_in_flight_loss(DROP_DORMANT)
-                        if track:
-                            log.append((message, delay, DROP_DORMANT))
-                        continue
-                    if filters:
-                        reason = delivery.drop_reason(
-                            message.sender, recipient, next_round
-                        )
-                        if reason is not None:
-                            metrics.record_in_flight_loss(reason)
-                            if track:
-                                log.append((message, delay, reason))
-                            continue
-                    if track:
-                        log.append((message, delay, None))
-                    keep(message)
-                pending = kept
+                pending = self._screen_pending(
+                    pending, delays, next_round, crashed, joins
+                )
             if pending:
                 count = len(pending)
                 senders = np.fromiter(
@@ -1286,7 +1257,7 @@ class SynchronousEngine:
             # one buffer-protocol update hashes the whole state without
             # materializing any intermediate bytes.
             digest.update(self._vstate.digest_view())
-        elif self.fast_path:
+        elif self.backend == "fast":
             for mask in self._kmasks:
                 digest.update(mask.to_bytes(nbytes, "little"))
         else:

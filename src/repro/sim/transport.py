@@ -25,9 +25,9 @@ Shipped models:
   next round's delivery bucket in one list move), so extracting the layer
   costs the common case nothing.
 * :class:`BoundedJitter` — messages take ``1 .. 1 + jitter`` rounds,
-  uniform and deterministic in the seed.  Bit-identical to the engine's
-  historical inline ``jitter=`` knob (same RNG stream, same salt), which
-  survives as a constructor alias.
+  uniform and deterministic in the seed (spec ``"jitter:J"``).
+  ``"jitter:0"`` delivers every message after exactly one round, as
+  :class:`Lockstep` does.
 * :class:`PerLinkLatency` — deterministic heterogeneous delays: each
   directed link gets a fixed delay in ``1 .. 1 + spread`` hashed stably
   from the run seed, modelling a fleet where some links are simply slow.
@@ -228,9 +228,8 @@ class BoundedJitter(DeliveryModel):
     """Bounded asynchrony: messages take ``1 .. 1 + jitter`` rounds.
 
     Delays are uniform and deterministic in the run seed, drawn from the
-    same derived stream (salt ``"delivery-jitter"``) the engine's
-    historical inline ``jitter=`` knob used — the two are bit-identical,
-    which the differential suite pins against pre-refactor signatures.
+    derived stream salted ``"delivery-jitter"``; the differential suite
+    pins the resulting runs against recorded signatures.
     """
 
     name = "jitter"

@@ -34,21 +34,13 @@ The matrix costs ``n * ceil(n/8)`` bytes — 8 MB at n = 8192, 1.25 GB at
 n = 10^5, 125 GB at n = 10^6 (the last is out of reach for one box with
 ordinary memory; see docs/PERF.md for the measured footprint column).
 
-numpy is a declared runtime dependency, but the simulator core must stay
-importable without it (only :mod:`repro.analysis` needed it before this
-module existed).  Everything here therefore guards the import:
-:func:`vector_available` reports whether the backend can run, and
-:func:`require_numpy` raises one clear, actionable error otherwise.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via vector_available() either way
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: Target bytes per gathered sub-matrix in the chunked candidate screen.
 #: 32 MB keeps three live chunk temporaries comfortably inside any
@@ -57,34 +49,17 @@ _CHUNK_BYTES = 32 << 20
 
 #: numpy < 2.0 lacks ``np.bitwise_count``; fall back to a uint8 popcount
 #: lookup table (one extra gather, same semantics).
-if np is not None and hasattr(np, "bitwise_count"):
+if hasattr(np, "bitwise_count"):
     def _popcount_rows(rows: "np.ndarray") -> "np.ndarray":
         """Per-row popcounts of a 2-D packed matrix (1-D gets summed)."""
         return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
-elif np is not None:  # pragma: no cover - numpy >= 2.0 in the image
+else:  # pragma: no cover - numpy >= 2.0 in the image
     _POPCOUNT_TABLE = np.array(
         [bin(value).count("1") for value in range(256)], dtype=np.uint8
     )
 
     def _popcount_rows(rows: "np.ndarray") -> "np.ndarray":
         return _POPCOUNT_TABLE[rows].sum(axis=-1, dtype=np.int64)
-
-
-def vector_available() -> bool:
-    """Whether the vector backend can run in this interpreter."""
-    return np is not None
-
-
-def require_numpy() -> None:
-    """Raise a clear error when the vector backend is requested but
-    numpy is missing."""
-    if np is None:
-        raise ImportError(
-            "the 'vector' engine backend requires numpy, which is a "
-            "declared dependency of this package but is not importable "
-            "in this environment; install it (pip install numpy) or "
-            "select backend='fast' / backend='legacy' instead"
-        )
 
 
 class VectorState:
@@ -104,7 +79,6 @@ class VectorState:
     """
 
     def __init__(self, n: int) -> None:
-        require_numpy()
         self.n = n
         self.nbytes = (n + 7) >> 3
         self.K = np.zeros((n, self.nbytes), dtype=np.uint8)

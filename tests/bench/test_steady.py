@@ -19,7 +19,7 @@ from repro.bench.steady import (
     ring_adjacency,
     run_steady_window,
 )
-from repro.sim import BACKENDS, SynchronousEngine, vector_available
+from repro.sim import BACKENDS, SynchronousEngine
 
 SPECS = {
     "sparse": SteadySpec(
@@ -40,14 +40,10 @@ SPECS = {
 }
 
 
-def _backends():
-    return [b for b in BACKENDS if b != "vector" or vector_available()]
-
-
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_backends_digest_identical(name):
     spec = SPECS[name]
-    digests = {b: run_steady_window(spec, b) for b in _backends()}
+    digests = {b: run_steady_window(spec, b) for b in BACKENDS}
     reference = digests["legacy"]
     assert len(reference) == spec.window
     for backend, rounds in digests.items():
@@ -56,7 +52,7 @@ def test_backends_digest_identical(name):
 
 def test_injection_matches_counters():
     spec = SPECS["shared-missing"]
-    for backend in _backends():
+    for backend in BACKENDS:
         engine, _ = build_steady_engine(spec, backend)
         complete = sum(
             1 for known in engine.knowledge.values() if len(known) == spec.n
@@ -68,7 +64,7 @@ def test_injection_matches_counters():
 
 def test_laggards_learn_during_window():
     spec = SPECS["full-payload"]
-    for backend in _backends():
+    for backend in BACKENDS:
         engine, _ = build_steady_engine(spec, backend)
         before = engine._complete_nodes
         for _ in range(spec.window):
@@ -86,8 +82,6 @@ def test_window_pointer_count_matches_metrics():
 
 @pytest.mark.parametrize("backend", ["fast", "vector"])
 def test_lazy_injection_digests_match_eager(backend):
-    if backend == "vector" and not vector_available():
-        pytest.skip("numpy unavailable")
     spec = SPECS["shared-missing"]
     eager, _ = build_steady_engine(spec, backend)
     lazy, _ = build_steady_engine(spec, backend, sync_sets=False)
@@ -100,7 +94,8 @@ def test_lazy_injection_digests_match_eager(backend):
 def test_lazy_injection_rejected_on_legacy():
     spec = SPECS["sparse"]
     engine = SynchronousEngine(
-        ring_adjacency(spec.n), _quiet_factory, enforce_legality=False
+        ring_adjacency(spec.n), _quiet_factory, enforce_legality=False,
+        backend="legacy",
     )
     with pytest.raises(ValueError, match="legacy"):
         inject_steady_state(engine, laggard_missing(spec), sync_sets=False)

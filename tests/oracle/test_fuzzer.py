@@ -235,7 +235,6 @@ class TestInjectedBugSelfTest:
             completed=False,
             divergence=Divergence(2, "knowledge", "a", "b"),
         )
-        monkeypatch.setattr(fuzzer_mod, "vector_available", lambda: True)
         monkeypatch.setattr(
             fuzzer_mod, "diff_vector_vs_fast", lambda script: bad
         )

@@ -152,7 +152,7 @@ def test_sublog_completes_under_jitter(
         graph,
         algorithm="sublog",
         seed=seed,
-        jitter=jitter,
+        delivery=f"jitter:{jitter}" if jitter else None,
         resilient=True,
         stagnation_phases=4,
         max_rounds=6000,

@@ -1,7 +1,7 @@
 """Differential tests: the dense fast path must be bit-identical to the
 legacy engine path.
 
-The fast path (``SynchronousEngine(fast_path=True)``) reimplements the
+The fast path (``SynchronousEngine(backend="fast")``) reimplements the
 round loop with dense-index bitmasks, candidate-mask learning, batched
 metrics, and completion short-circuits.  Its only correctness argument is
 this suite: every registry algorithm, across topologies, id namespaces,
@@ -40,7 +40,7 @@ TOPOLOGY_ARGS = {
 }
 
 
-def _both_paths(graph, algorithm, *, seed, enforce, goal="strong", jitter=0,
+def _both_paths(graph, algorithm, *, seed, enforce, goal="strong",
                 delivery=None, fault_plan=None, join_plan=None):
     """Run one configuration on both paths; return (legacy, fast) engines
     and results."""
@@ -52,12 +52,11 @@ def _both_paths(graph, algorithm, *, seed, enforce, goal="strong", jitter=0,
             spec.node_factory(),
             seed=seed,
             goal=goal,
-            jitter=jitter,
             delivery=delivery,
             fault_plan=fault_plan,
             join_plan=join_plan,
             enforce_legality=enforce,
-            fast_path=fast,
+            backend="fast" if fast else "legacy",
             algorithm_name=algorithm,
         )
         outcome.append((engine, engine.run(spec.round_cap(engine.n))))
@@ -89,7 +88,7 @@ def test_all_algorithms_match(algorithm, topology, id_space, enforce):
 def test_jitter_match(jitter, enforce):
     graph = make_topology("kout", 18, seed=4, k=3)
     legacy, fast = _both_paths(
-        graph, "namedropper", seed=7, enforce=enforce, jitter=jitter
+        graph, "namedropper", seed=7, enforce=enforce, delivery=f"jitter:{jitter}"
     )
     _assert_identical(legacy, fast)
 
@@ -148,7 +147,7 @@ def _run_golden(algorithm, *, fast, graph, seed, fault_plan=None, **delivery_kw)
         seed=seed,
         fault_plan=fault_plan,
         enforce_legality=True,
-        fast_path=fast,
+        backend="fast" if fast else "legacy",
         algorithm_name=algorithm,
         **delivery_kw,
     )
@@ -158,14 +157,13 @@ def _run_golden(algorithm, *, fast, graph, seed, fault_plan=None, **delivery_kw)
 @pytest.mark.parametrize("algorithm,jitter", sorted(_JITTER_GOLDENS))
 def test_bounded_jitter_matches_pre_refactor_goldens(algorithm, jitter):
     """BoundedJitter through the transport layer is bit-identical to the
-    pre-refactor inline ``jitter=J`` — same rounds, messages, pointers,
-    and final knowledge — on both engine paths, however it is spelled
-    (``jitter=`` alias, model instance, or spec string)."""
+    pre-refactor inline jitter — same rounds, messages, pointers, and
+    final knowledge — on both engine paths, however it is spelled (model
+    instance or spec string)."""
     graph = make_topology("kout", 18, seed=4, k=3)
     want = _JITTER_GOLDENS[(algorithm, jitter)]
     for fast in (False, True):
         spellings = [
-            {"jitter": jitter},
             {"delivery": BoundedJitter(jitter)},
             {"delivery": f"jitter:{jitter}"},
         ]
@@ -178,7 +176,7 @@ def test_bounded_jitter_matches_pre_refactor_goldens(algorithm, jitter):
             results.append(result)
         # The spellings are not merely signature-equal: the full results
         # (per-kind counters, per-round trajectories) coincide.
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("fast", [False, True])
@@ -186,7 +184,12 @@ def test_bounded_jitter_with_loss_matches_golden(fast):
     graph = make_topology("kout", 24, seed=5, k=3)
     plan = FaultPlan(loss_rate=0.15, seed=3)
     engine_a, result_a = _run_golden(
-        "namedropper", fast=fast, graph=graph, seed=42, fault_plan=plan, jitter=2
+        "namedropper",
+        fast=fast,
+        graph=graph,
+        seed=42,
+        fault_plan=plan,
+        delivery="jitter:2",
     )
     engine_b, result_b = _run_golden(
         "namedropper",
@@ -220,12 +223,6 @@ def test_delivery_models_match_across_paths(delivery, algorithm, enforce):
     _assert_identical(legacy, fast)
 
 
-def test_delivery_and_jitter_are_mutually_exclusive():
-    graph = {0: {1}, 1: {0}}
-    with pytest.raises(ValueError, match="not both"):
-        SynchronousEngine(graph, _UnknownIdNode, jitter=1, delivery="lockstep")
-
-
 @pytest.mark.parametrize("fast", [False, True])
 def test_protocol_violation_identical_under_transport_jitter(fast):
     """The legality guard raises the same error text when the violating
@@ -237,7 +234,7 @@ def test_protocol_violation_identical_under_transport_jitter(fast):
         seed=1,
         delivery=BoundedJitter(2),
         enforce_legality=True,
-        fast_path=fast,
+        backend="fast" if fast else "legacy",
     )
     with pytest.raises(ProtocolViolation) as excinfo:
         for _ in range(4):
@@ -263,7 +260,7 @@ def test_faults_and_churn_match(algorithm, enforce):
             seed=42,
             enforce=enforce,
             goal=goal,
-            jitter=jitter,
+            delivery=f"jitter:{jitter}" if jitter else None,
             fault_plan=fault_plan,
             join_plan=join_plan,
         )
@@ -290,7 +287,7 @@ def test_property_differential(graph, algorithm, seed, enforce, jitter, loss):
         algorithm,
         seed=seed,
         enforce=enforce,
-        jitter=jitter,
+        delivery=f"jitter:{jitter}" if jitter else None,
         fault_plan=fault_plan,
     )
     _assert_identical(legacy, fast)
@@ -330,7 +327,11 @@ class _UnknownRecipientNode(ProtocolNode):
 def test_protocol_violation_identical(fast):
     graph = {0: {1}, 1: {0}, 2: {0, 1}}
     engine = SynchronousEngine(
-        graph, _UnknownIdNode, seed=1, enforce_legality=True, fast_path=fast
+        graph,
+        _UnknownIdNode,
+        seed=1,
+        enforce_legality=True,
+        backend="fast" if fast else "legacy",
     )
     with pytest.raises(ProtocolViolation) as excinfo:
         for _ in range(4):
@@ -343,7 +344,11 @@ def test_protocol_violation_messages_match_across_paths():
     errors = []
     for fast in (False, True):
         engine = SynchronousEngine(
-            graph, _UnknownIdNode, seed=1, enforce_legality=True, fast_path=fast
+            graph,
+            _UnknownIdNode,
+            seed=1,
+            enforce_legality=True,
+            backend="fast" if fast else "legacy",
         )
         with pytest.raises(ProtocolViolation) as excinfo:
             for _ in range(4):
@@ -361,7 +366,7 @@ def test_unknown_recipient_raises_on_both_paths(enforce, fast):
         _UnknownRecipientNode,
         seed=1,
         enforce_legality=enforce,
-        fast_path=fast,
+        backend="fast" if fast else "legacy",
     )
     expected = ProtocolViolation if enforce else UnknownNodeError
     with pytest.raises(expected):
@@ -379,10 +384,10 @@ def test_knowledge_property_is_lazy_but_current():
         spec.node_factory(),
         seed=5,
         enforce_legality=False,
-        fast_path=True,
+        backend="fast",
     )
     reference = SynchronousEngine(
-        graph, spec.node_factory(), seed=5, enforce_legality=False, fast_path=False
+        graph, spec.node_factory(), seed=5, enforce_legality=False, backend="legacy"
     )
     for _ in range(4):
         engine.step()

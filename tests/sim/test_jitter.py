@@ -13,7 +13,7 @@ class TestJitterBasics:
     def test_zero_jitter_is_the_synchronous_model(self):
         graph = make_topology("kout", 64, seed=2, k=3)
         plain = repro.discover(graph, algorithm="namedropper", seed=2)
-        explicit = repro.discover(graph, algorithm="namedropper", seed=2, jitter=0)
+        explicit = repro.discover(graph, algorithm="namedropper", seed=2, delivery="jitter:0")
         assert (plain.rounds, plain.messages, plain.pointers) == (
             explicit.rounds,
             explicit.messages,
@@ -24,14 +24,14 @@ class TestJitterBasics:
         from repro.algorithms.flooding import FloodingNode
 
         with pytest.raises(ValueError):
-            SynchronousEngine({0: {1}, 1: set()}, FloodingNode, jitter=-1)
+            SynchronousEngine({0: {1}, 1: set()}, FloodingNode, delivery="jitter:-1")
 
     def test_jitter_is_deterministic(self):
         graph = make_topology("kout", 48, seed=3, k=3)
 
         def signature():
             result = repro.discover(
-                graph, algorithm="namedropper", seed=3, jitter=3
+                graph, algorithm="namedropper", seed=3, delivery="jitter:3"
             )
             return (result.rounds, result.messages)
 
@@ -44,7 +44,7 @@ class TestJitterCompletion:
     def test_gossip_completes_under_jitter(self, algorithm: str, jitter: int):
         graph = make_topology("kout", 48, seed=4, k=3)
         result = repro.discover(
-            graph, algorithm=algorithm, seed=4, jitter=jitter, max_rounds=2000
+            graph, algorithm=algorithm, seed=4, delivery=f"jitter:{jitter}", max_rounds=2000
         )
         assert result.completed
 
@@ -55,7 +55,7 @@ class TestJitterCompletion:
             graph,
             algorithm="sublog",
             seed=5,
-            jitter=jitter,
+            delivery=f"jitter:{jitter}",
             resilient=True,
             stagnation_phases=4,
             max_rounds=4000,
@@ -66,7 +66,7 @@ class TestJitterCompletion:
         graph = make_topology("bipath", 33)
         sync = repro.discover(graph, algorithm="flooding", seed=1)
         jittered = repro.discover(
-            graph, algorithm="flooding", seed=1, jitter=2, max_rounds=2000
+            graph, algorithm="flooding", seed=1, delivery="jitter:2", max_rounds=2000
         )
         assert jittered.completed
         assert jittered.rounds >= sync.rounds
@@ -78,7 +78,7 @@ class TestJitterCompletion:
 
         graph = make_topology("path", 65)
         result = repro.discover(
-            graph, algorithm="swamping", seed=1, jitter=2, max_rounds=2000
+            graph, algorithm="swamping", seed=1, delivery="jitter:2", max_rounds=2000
         )
         assert result.completed
         assert result.rounds >= math.ceil(math.log2(64))

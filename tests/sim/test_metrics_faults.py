@@ -128,33 +128,33 @@ class TestSendTimeCrashAttribution:
 
         return Pusher
 
-    def _run(self, fast_path: bool, loss_rate: float = 0.0):
+    def _run(self, backend: str, loss_rate: float = 0.0):
         from repro.sim import FaultPlan, SynchronousEngine
 
         engine = SynchronousEngine(
             {0: {1}, 1: {0}, 2: {1}},
             self._pusher(),
             fault_plan=FaultPlan(loss_rate=loss_rate, crash_rounds={1: 2}, seed=3),
-            fast_path=fast_path,
+            backend=backend,
         )
         for _ in range(4):
             engine.step()
         return engine
 
     def test_send_to_crashed_recipient_tagged_crash(self):
-        for fast_path in (False, True):
-            engine = self._run(fast_path)
+        for backend in ("legacy", "fast"):
+            engine = self._run(backend)
             reasons = dict(engine.metrics.dropped_by_reason)
             # Node 1 crashes at round 2; every later send targeting it is
             # caught at send time.  No loss coin runs, so no fault drops.
-            assert reasons.get("crash", 0) > 0, fast_path
-            assert "fault" not in reasons, fast_path
+            assert reasons.get("crash", 0) > 0, backend
+            assert "fault" not in reasons, backend
 
     def test_loss_coin_stream_survives_the_split(self):
         # With a loss rate active, the coin is consumed for crash-bound
         # sends too; both engine paths must agree on the whole split.
-        legacy = self._run(False, loss_rate=0.4)
-        fast = self._run(True, loss_rate=0.4)
+        legacy = self._run("legacy", loss_rate=0.4)
+        fast = self._run("fast", loss_rate=0.4)
         assert dict(legacy.metrics.dropped_by_reason) == dict(
             fast.metrics.dropped_by_reason
         )
@@ -214,7 +214,7 @@ class TestEngineInFlightLoss:
             {0: {1}, 1: set(), 2: {1}},
             Pusher,
             seed=5,
-            jitter=3,
+            delivery="jitter:3",
             fault_plan=FaultPlan(crash_rounds={1: 3}),
         )
         for _ in range(6):

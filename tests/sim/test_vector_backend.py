@@ -7,8 +7,9 @@ fast path's candidate-mask learning rule onto a packed numpy matrix with
 batched per-round screens.  Breadth (all algorithms x delivery families
 x faults) is exercised here and continuously by the oracle fuzzer's
 ``diff_vector_vs_fast`` leg; this suite also pins the satellite
-contracts — digest equality across all three backends, the numpy import
-guard, and backend-name validation.
+contracts — digest equality across all three backends, backend-name
+validation, and the one default-backend rule shared by every entry
+point.
 """
 
 from __future__ import annotations
@@ -17,14 +18,18 @@ import pytest
 
 from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.graphs import make_topology
-from repro.sim import BACKENDS, SynchronousEngine, vector_available
+import repro
+from repro.bench.runner import Case, run_case
+from repro.sim import (
+    BACKENDS,
+    VECTOR_DEFAULT_MIN_N,
+    Observer,
+    SynchronousEngine,
+    resolve_backend,
+)
 from repro.sim.churn import JoinPlan
 from repro.sim.errors import ProtocolViolation
 from repro.sim.faults import FaultPlan, crash_fraction_plan
-
-needs_numpy = pytest.mark.skipif(
-    not vector_available(), reason="numpy unavailable"
-)
 
 TOPOLOGY_ARGS = {"kout": {"k": 3}, "gnp": {"p": 0.25}}
 
@@ -57,7 +62,6 @@ def _assert_identical(pair_a, pair_b):
     assert engine_a.alive_nodes == engine_b.alive_nodes
 
 
-@needs_numpy
 @pytest.mark.parametrize("algorithm", algorithm_names())
 @pytest.mark.parametrize(
     "topology,id_space", [("kout", "dense"), ("path", "random")]
@@ -73,7 +77,6 @@ def test_all_algorithms_match_fast(algorithm, topology, id_space, enforce):
     _assert_identical(fast, vector)
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "delivery", ["adversarial:2", "perlink:2", "partition:3-6", "jitter:2"]
 )
@@ -88,7 +91,6 @@ def test_delivery_models_match(delivery, algorithm, enforce):
     _assert_identical(fast, vector)
 
 
-@needs_numpy
 @pytest.mark.parametrize("algorithm", ["namedropper", "sublog", "flooding"])
 def test_faults_and_churn_match(algorithm):
     graph = make_topology("kout", 24, seed=5, k=3)
@@ -109,7 +111,6 @@ def test_faults_and_churn_match(algorithm):
         _assert_identical(fast, vector)
 
 
-@needs_numpy
 def test_digest_identical_across_all_three_backends():
     """Satellite contract: ``knowledge_digest()`` — computed from packed
     uint8 rows on the vector backend, from Python-int masks on the fast
@@ -135,7 +136,6 @@ def test_digest_identical_across_all_three_backends():
     assert all(e.is_strongly_complete() for e in engines.values())
 
 
-@needs_numpy
 def test_knowledge_property_is_lazy_but_current():
     """The vector backend materializes knowledge sets on demand from the
     packed rows — and they must match the reference path when read
@@ -156,7 +156,6 @@ def test_knowledge_property_is_lazy_but_current():
         assert dict(vector.knowledge) == dict(reference.knowledge)
 
 
-@needs_numpy
 def test_protocol_violation_identical_on_vector():
     from repro.sim.messages import Message
     from repro.sim.node import ProtocolNode
@@ -190,31 +189,45 @@ class TestBackendSelection:
             SynchronousEngine({0: {1}, 1: {0}}, _noop_factory,
                               backend="turbo")
 
-    def test_explicit_backend_wins_over_fast_path(self):
+    def test_explicit_backend_wins_over_default(self):
         engine = SynchronousEngine(
-            {0: {1}, 1: {0}}, _noop_factory, fast_path=True,
-            backend="legacy",
+            {0: {1}, 1: {0}}, _noop_factory, backend="legacy"
         )
         assert engine.backend == "legacy"
-        assert engine.fast_path is False
 
-    def test_fast_path_flag_resolves_backend(self):
-        assert SynchronousEngine(
-            {0: {1}, 1: {0}}, _noop_factory, fast_path=True
-        ).backend == "fast"
+    def test_default_backend_follows_size(self):
         assert SynchronousEngine(
             {0: {1}, 1: {0}}, _noop_factory
-        ).backend == "legacy"
+        ).backend == "fast"
+        assert resolve_backend(VECTOR_DEFAULT_MIN_N - 1) == "fast"
+        assert resolve_backend(VECTOR_DEFAULT_MIN_N) == "vector"
+        assert resolve_backend(VECTOR_DEFAULT_MIN_N, "legacy") == "legacy"
 
-    def test_missing_numpy_raises_clear_error(self, monkeypatch):
-        import repro.sim.vector_kernel as vk
+    @pytest.mark.parametrize(
+        "n,expected", [(64, "fast"), (VECTOR_DEFAULT_MIN_N, "vector")]
+    )
+    def test_entry_points_share_the_default_backend(self, n, expected):
+        """A bare engine, :func:`repro.discover` and ``run_case`` all
+        pick the same backend for the same size."""
 
-        monkeypatch.setattr(vk, "np", None)
-        assert not vk.vector_available()
-        with pytest.raises(ImportError, match="requires numpy"):
-            SynchronousEngine(
-                {0: {1}, 1: {0}}, _noop_factory, backend="vector"
-            )
+        class SeenBackend(Observer):
+            def on_setup(self, engine):
+                seen.append(engine.backend)
+
+        seen = []
+        graph = make_topology("path", n, seed=1)
+        SynchronousEngine(
+            graph, _noop_factory, observers=[SeenBackend()]
+        ).run(max_rounds=0)
+        repro.discover(
+            graph, "flooding", observers=[SeenBackend()], max_rounds=0
+        )
+        run_case(
+            Case("flooding", "path", n, seed=1),
+            observers=[SeenBackend()],
+            max_rounds=0,
+        )
+        assert seen == [expected] * 3
 
 
 def _noop_factory(node_id):
